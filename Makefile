@@ -65,8 +65,8 @@ recovery-test:
 	$(PYTHON) -m pytest -m recovery -q
 
 # Compiled pipelines + mid-query re-optimization (docs/ADAPTIVE.md):
-# stale-stats gap closure, degraded-node escape, and the compiled-vs-
-# interpreted wall-clock win (writes BENCH_adaptive.json).
+# stale-stats gap closure, degraded-node escape, and zero replans on a
+# well-estimated shape (writes BENCH_adaptive.json).
 adaptive-smoke:
 	$(PYTHON) benchmarks/bench_adaptive.py --quick
 
@@ -87,8 +87,8 @@ coverage:
 	$(PYTHON) tools/coverage_gate.py
 
 # Tier-1 gate: lint, the full unit suite, an end-to-end pipeline smoke,
-# a fast fault-injection/availability smoke, the vectorized-engine
-# speedup smoke (writes BENCH_exec.json), the cache-hierarchy speedup
+# a fast fault-injection/availability smoke, the compiled-engine vs
+# row-oracle speedup smoke (writes BENCH_exec.json), the cache-hierarchy speedup
 # smoke (writes BENCH_cache.json), the batched-ingest speedup smoke
 # (writes BENCH_ingest.json), the multi-tenant serving smoke (writes
 # BENCH_serving.json; also runs under `pytest -m serving`), the
@@ -98,7 +98,10 @@ coverage:
 # RPO=0 under a mid-ingest crash (writes BENCH_recovery.json), the
 # adaptive-marked equivalence properties, the compiled-pipeline /
 # re-optimization smoke (writes BENCH_adaptive.json), and the
-# perf-regression gate over the committed headline speedups.
+# perf-regression gate over the committed headline speedups (exec
+# speedup and columnar speedup, cache speedup, adaptive degraded-node
+# sim speedup; end-to-end query throughput is gated by BENCHMARK.json's
+# analytic_sql workload).
 verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke perf-regress
 
 bench:

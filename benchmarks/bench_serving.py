@@ -156,6 +156,12 @@ def run_comparison(duration_ms: float, requests_per_session: int) -> Dict:
 
 
 def check_claims(results: Dict) -> None:
+    # A request that raised is a failure, not a faster request.
+    for phase in ("uncontended", "overload"):
+        payload = results[phase]
+        assert payload["errors"] == 0, (
+            f"{phase}: {payload['errors']} requests failed {payload['errors_by_type']}"
+        )
     overload = results["overload"]
     assert overload["sessions"] >= 1000, "must drive >= 1000 concurrent sessions"
     assert len(overload["tenants"]) >= 4, "must span >= 4 tenants"

@@ -107,7 +107,6 @@ class Impliance:
         self.engine = QueryEngine(
             self,
             telemetry=self.telemetry,
-            vectorized=self.config.vectorized,
             batch_size=self.config.batch_size,
             cache=self.caches,
             adaptive_config=self.config.adaptive,

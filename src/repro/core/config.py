@@ -3,7 +3,9 @@
 An appliance ships "operational out of the box" (Section 3.1); the
 default configuration is the product.  Everything here has a sensible
 default, and nothing here requires ongoing administration — the knobs
-configure the simulation's scale, not the system's behaviour.
+configure the simulation's scale, not the system's behaviour.  In
+particular there is no engine switch: every query runs as compiled
+pipelines (docs/EXECUTION.md).
 """
 
 from __future__ import annotations
@@ -39,11 +41,7 @@ class ApplianceConfig:
     #: (``Impliance.telemetry`` / ``Impliance.stats()``).  When False the
     #: telemetry layer is a guaranteed no-op on every hot path.
     telemetry: bool = True
-    #: Execution engine: when True (the default) queries run on the
-    #: vectorized ColumnBatch interpreter; False keeps the legacy
-    #: row-at-a-time engine alive for comparison runs (docs/EXECUTION.md).
-    vectorized: bool = True
-    #: Rows per ColumnBatch on the vectorized path.
+    #: Rows per ColumnBatch in compiled query pipelines (docs/EXECUTION.md).
     batch_size: int = 1024
     #: Cache hierarchy: per-tier size caps and the off switch
     #: (``CacheConfig(enabled=False)`` makes every tier a no-op).
@@ -58,8 +56,8 @@ class ApplianceConfig:
     #: Continuous replication / point-in-time recovery: snapshot cadence
     #: and the off switch (docs/RECOVERY.md).
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    #: Compiled pipelines + mid-query re-optimization: divergence
-    #: threshold, replan budget, and the off switches (docs/ADAPTIVE.md).
+    #: Mid-query re-optimization: divergence threshold, replan budget,
+    #: probe budget, and the off switch (docs/ADAPTIVE.md).
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     #: Domain lexicons for the out-of-the-box annotator suite; empty
     #: tuples simply disable the corresponding lexicon annotator.

@@ -7,9 +7,9 @@ updated consistently through cluster nodes — with every step charged to
 node timelines and the network so experiments measure makespans and
 bytes on the wire.
 
-The operator vocabulary is vectorized: :class:`ColumnBatch` (struct-of-
-arrays) streams are the hot-path currency, with the original dict-row
-functions kept as the compatibility edge (see docs/EXECUTION.md).
+:class:`ColumnBatch` (struct-of-arrays) streams are the query engine's
+currency, with the dict-row functions kept as the compatibility edge
+(see docs/EXECUTION.md).
 """
 
 from repro.exec.batch import (
@@ -25,23 +25,18 @@ from repro.exec.operators import (
     AggregationTypeError,
     OperatorStats,
     Row,
-    filter_batches,
     filter_rows,
     group_aggregate,
-    group_aggregate_batches,
     hash_join,
     hash_join_batches,
     indexed_nl_join,
     merge_joined_row,
     merge_partial_aggregates,
     partial_aggregate,
-    project_batches,
     project_rows,
-    selector_from_predicate,
     sort_batches,
     sort_rows,
     top_k,
-    top_k_batches,
 )
 from repro.exec.parallel import (
     BatchPartitions,
@@ -63,14 +58,9 @@ __all__ = [
     "batches_from_columns",
     "batches_from_rows",
     "rows_from_batches",
-    "filter_batches",
-    "group_aggregate_batches",
     "hash_join_batches",
     "merge_joined_row",
-    "project_batches",
-    "selector_from_predicate",
     "sort_batches",
-    "top_k_batches",
     "BatchPartitions",
     "AggSpec",
     "AggregationTypeError",

@@ -1,19 +1,19 @@
-"""Physical operators: the row vocabulary and its vectorized twins.
+"""Physical operators: the row vocabulary and its batch counterparts.
 
 The paper argues for "a simple planner that allows only a few limited
 choices of the underlying physical operators" (Section 3.3); this module
-is that limited operator vocabulary.  Two executions of each operator
-exist:
+is that limited operator vocabulary, in two forms:
 
-* the original iterator-style functions over plain dict rows (kept as
-  the compatibility edge and the legacy engine), and
-* ``*_batches`` variants that operate on :class:`~repro.exec.batch.
-  ColumnBatch` streams batch-at-a-time — the vectorized hot path the
-  query engine and the distributed executor now run on.
+* iterator-style functions over plain dict rows (the compatibility edge,
+  the distributed executor's row paths, and the reference interpreter
+  the equivalence tests run), and
+* batch operators over :class:`~repro.exec.batch.ColumnBatch` streams —
+  :class:`GroupAggregator`, the hash joins and :func:`sort_batches` —
+  that compiled query pipelines run on.
 
 Both keep row/batch statistics so the executor can charge simulated cost
 for the work they actually did, and both produce *identical* rows — the
-cross-engine property tests depend on it.
+equivalence tests depend on it.
 
 Aggregation functions intentionally include the type guards motivated in
 Section 2.2 — summing a column that is not numeric raises instead of
@@ -31,9 +31,6 @@ from repro.model.values import classify_value, coerce_numeric
 
 Row = Dict[str, Any]
 Predicate = Callable[[Row], bool]
-
-#: Vectorized predicate: batch → indices of the selected rows, in order.
-BatchSelector = Callable[[ColumnBatch], Sequence[int]]
 
 
 @dataclass
@@ -347,50 +344,6 @@ def _note_batch_out(stats: Optional[OperatorStats], batch: ColumnBatch) -> None:
         stats.rows_out += batch.length
 
 
-def selector_from_predicate(predicate: Predicate) -> BatchSelector:
-    """Adapt a dict-row predicate into a :data:`BatchSelector`.
-
-    The generic fallback for callers without a column-wise predicate —
-    it materializes rows, so prefer a native selector (e.g.
-    ``Conjunction.selector``) on hot paths.
-    """
-
-    def select(batch: ColumnBatch) -> List[int]:
-        return [i for i, row in enumerate(batch.to_rows()) if predicate(row)]
-
-    return select
-
-
-def filter_batches(
-    batches: Iterable[ColumnBatch],
-    selector: BatchSelector,
-    stats: Optional[OperatorStats] = None,
-) -> Iterator[ColumnBatch]:
-    """Vectorized filter: *selector* picks surviving row indices per batch."""
-    for batch in batches:
-        _note_batch_in(stats, batch)
-        indices = selector(batch)
-        if not indices:
-            continue
-        out = batch if len(indices) == batch.length else batch.take(indices)
-        _note_batch_out(stats, out)
-        yield out
-
-
-def project_batches(
-    batches: Iterable[ColumnBatch],
-    columns: Sequence[str],
-    stats: Optional[OperatorStats] = None,
-) -> Iterator[ColumnBatch]:
-    """Vectorized projection — O(columns) per batch, not O(rows)."""
-    columns = list(columns)
-    for batch in batches:
-        _note_batch_in(stats, batch)
-        out = batch.select_columns(columns)
-        _note_batch_out(stats, out)
-        yield out
-
-
 def hash_join_batches(
     probe_batches: Iterable[ColumnBatch],
     build_batches: Iterable[ColumnBatch],
@@ -503,37 +456,11 @@ def sort_batches(
     return out
 
 
-def top_k_batches(
-    batches: Iterable[ColumnBatch],
-    k: int,
-    key: str,
-    descending: bool = True,
-    stats: Optional[OperatorStats] = None,
-) -> ColumnBatch:
-    """Vectorized top-k: heap over (orderable, row-index) pairs only."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    merged = ColumnBatch.concat(list(batches))
-    if stats is not None:
-        stats.batches_in += 1
-        stats.rows_in += merged.length
-    values = merged.column(key)
-    decorated = ((_orderable(v), i) for i, v in enumerate(values))
-    if descending:
-        selected = heapq.nlargest(k, decorated, key=lambda t: (t[0], -t[1]))
-    else:
-        selected = heapq.nsmallest(k, decorated, key=lambda t: (t[0], t[1]))
-    out = merged.take([i for _, i in selected])
-    _note_batch_out(stats, out)
-    return out
-
-
 class GroupAggregator:
     """Incremental vectorized hash group-by.
 
-    The streaming core of :func:`group_aggregate_batches`, split out so
-    compiled pipelines (:mod:`repro.query.compile`) can feed it batches
-    — or just the surviving row *indices* of a fused filter, skipping the
+    Compiled pipelines (:mod:`repro.query.compile`) feed it batches — or
+    just the surviving row *indices* of a fused filter, skipping the
     intermediate ``take()`` copy entirely.  Group values, aggregate
     results, and the sorted output order are identical to
     :func:`group_aggregate` regardless of how rows arrive.
@@ -575,23 +502,3 @@ class GroupAggregator:
         for j, agg in enumerate(self.aggs):
             columns[agg.name] = [self._states[key][j].result(agg.func) for key in ordered]
         return ColumnBatch(columns, len(ordered))
-
-
-def group_aggregate_batches(
-    batches: Iterable[ColumnBatch],
-    group_by: Sequence[str],
-    aggs: Sequence[AggSpec],
-    stats: Optional[OperatorStats] = None,
-) -> ColumnBatch:
-    """Vectorized hash group-by: column access replaces per-row dicts.
-
-    Produces the same groups, values, and (sorted) group order as
-    :func:`group_aggregate`.
-    """
-    aggregator = GroupAggregator(group_by, aggs)
-    for batch in batches:
-        _note_batch_in(stats, batch)
-        aggregator.add_batch(batch)
-    out = aggregator.finish()
-    _note_batch_out(stats, out)
-    return out

@@ -50,14 +50,11 @@ class AdaptiveConfig:
     estimates).  ``divergence_ratio`` is the observed/estimated factor
     (either direction) that arms a checkpoint; ``max_replans`` bounds
     splices per query so a pathological estimate cannot thrash.
-    ``compiled_pipelines`` turns plan compilation off entirely, falling
-    back to the interpreted batch engine.
     """
 
     enabled: bool = True
     divergence_ratio: float = 2.0
     max_replans: int = 2
-    compiled_pipelines: bool = True
     probe_budget: int = DEFAULT_PROBE_BUDGET
 
     def __post_init__(self) -> None:

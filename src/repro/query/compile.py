@@ -16,15 +16,15 @@ Fusion is not just dispatch removal — it changes the data movement:
 * **filter→aggregate** feeds surviving row indices straight into
   :class:`~repro.exec.operators.GroupAggregator`, skipping the
   intermediate ``take()`` copy entirely;
-* predicate selectors are pre-bound once per pipeline (the compiled
-  value predicates of :meth:`Conjunction.selector`, including the
+* predicate selectors are pre-bound once per pipeline (see
+  :func:`compile_selector`, including the
   :class:`~repro.storage.encoding.EncodedColumn` dictionary-code fast
   path), not once per batch.
 
-Everything observable is preserved: output batches are byte-identical to
-the interpreted batch engine, per-operator statistics count the same
-logical batches, and simulated charges accrue per batch in the same
-per-row amounts (the property suite pins all three).
+Everything observable matches the row-at-a-time reference interpreter
+(``tests/row_oracle.py``): the same rows in the same order, the same
+per-operator row counts, and simulated charges in the same per-row
+amounts (the equivalence suites pin all three).
 """
 
 from __future__ import annotations
@@ -158,14 +158,19 @@ def _est(plan: Any) -> str:
 def compile_selector(
     predicate: Conjunction,
 ) -> Callable[[ColumnBatch, Optional[Sequence[int]]], List[int]]:
-    """Pre-bound equivalent of :meth:`Conjunction.selector`.
+    """Column-wise evaluation of *predicate*: batch → matching indices.
 
-    The per-term compiled value predicates are built once at pipeline
-    compile time instead of once per batch, and the selector optionally
-    narrows an existing candidate index set (chained fused filters).
-    Semantics — including the dictionary-code fast path, which memoizes
-    ``matching_codes`` per (dictionary, term) — are identical to the
-    interpreted selector by construction.
+    Terms narrow the candidate set column by column, so a selective
+    leading term makes the remaining terms nearly free.  The per-term
+    compiled value predicates are built once at pipeline compile time
+    instead of once per batch, and the selector optionally narrows an
+    existing candidate index set (chained fused filters).
+    Dictionary-coded columns take a code fast path: the value predicate
+    runs once per *distinct* value (memoized on the shared
+    :class:`~repro.storage.encoding.ColumnDictionary` per term), and the
+    per-row work is an integer set-membership test on still-encoded
+    codes.  Both paths use the same closure, so they agree with
+    :meth:`Conjunction.matches` by construction.
     """
     compiled: List[Tuple[Comparison, Callable[[Any], bool]]] = [
         (term, term.value_predicate()) for term in predicate.terms
@@ -250,8 +255,7 @@ def _compile_chain(plan: PhysicalPlan, stages: List[str]) -> StageFn:
     One pass per batch: filters narrow an index set without copying,
     projection prunes columns *before* the gather, and the final
     ``take`` happens at most once per batch.  Charges and statistics
-    are accounted per original operator so the meter is identical to
-    the interpreter's.
+    are accounted per original operator, as if each ran on its own.
     """
     source, nodes = _peel_chain(plan)
     source_fn = _compile(source, stages)
@@ -266,9 +270,8 @@ def _compile_chain(plan: PhysicalPlan, stages: List[str]) -> StageFn:
     def run(ctx: PipelineContext) -> List[ColumnBatch]:
         meter = ctx.meter
         charge = meter.charge
-        # Register the operator counters even for zero batches — the
-        # interpreter creates them at operator setup, and the two paths
-        # must expose identical ``operator_stats``.
+        # Register the operator counters even for zero batches, so
+        # ``operator_stats`` names every operator of the plan.
         for kind, _ in ops:
             meter.stats(kind)
         out: List[ColumnBatch] = []

@@ -17,8 +17,8 @@ connection objects).  A :class:`QueryResult` now carries all of them:
   replicas are unreachable the appliance still answers, but marks the
   result partial and says how many storage segments had no live copy at
   answer time (see docs/CHAOS.md),
-- ``batches`` / ``operator_stats`` — the vectorized engine's columnar
-  output and per-operator row/batch counters (see docs/EXECUTION.md).
+- ``batches`` / ``operator_stats`` — the SQL engine's columnar output
+  and per-operator row/batch counters (see docs/EXECUTION.md).
 
 For compatibility the object still *behaves* like the old shapes:
 iterating, indexing, ``len()``, truthiness, and equality against plain
@@ -50,8 +50,8 @@ class QueryResult:
     degraded: bool = False
     #: Storage segments with zero live replicas at answer time.
     missing_segments: int = 0
-    #: Columnar result batches, when the vectorized engine produced the
-    #: answer (``rows`` is their flattened adapter view); None otherwise.
+    #: Columnar result batches, when the SQL engine executed the answer
+    #: (``rows`` is their flattened adapter view); None otherwise.
     batches: Optional[List[Any]] = None
     #: Per-operator row/batch statistics from execution, keyed by
     #: operator name (scan, filter, hash_join, ...).

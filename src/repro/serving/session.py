@@ -121,7 +121,7 @@ class Session:
             session_id=self.session_id,
         )
 
-    def _run(self, kind: str, fn) -> Any:
+    def _execute(self, kind: str, fn) -> Any:
         if self.closed:
             raise RuntimeError(f"session {self.session_id} is closed")
         return self._app.serving.execute_inline(self.request(kind, fn))
@@ -132,7 +132,7 @@ class Session:
     # ------------------------------------------------------------------
     def search(self, query: str, top_k: int = 10) -> QueryResult:
         """Keyword search (Section 3.2.1), admitted under this tenant."""
-        return self._run("search", lambda: self._search_impl(query, top_k))
+        return self._execute("search", lambda: self._search_impl(query, top_k))
 
     def _search_impl(self, query: str, top_k: int) -> QueryResult:
         app = self._app
@@ -155,7 +155,7 @@ class Session:
         adaptive: bool = False,
     ) -> QueryResult:
         """SQL over views (Figure 2's legacy-application path)."""
-        return self._run(
+        return self._execute(
             "sql", lambda: self._sql_impl(query, planner, statistics, adaptive)
         )
 
@@ -183,7 +183,7 @@ class Session:
 
     def faceted(self, query: Optional[str] = None) -> FacetedSession:
         """Start a guided-search session scoped to this tenant."""
-        return self._run("faceted", lambda: self._faceted_impl(query))
+        return self._execute("faceted", lambda: self._faceted_impl(query))
 
     def _faceted_impl(self, query: Optional[str]) -> FacetedSession:
         app = self._app
@@ -194,7 +194,7 @@ class Session:
 
     def graph(self) -> GraphQuery:
         """The graph/connection query interface."""
-        return self._run("graph", lambda: self._graph_impl())
+        return self._execute("graph", lambda: self._graph_impl())
 
     def _graph_impl(self) -> GraphQuery:
         app = self._app
@@ -210,7 +210,7 @@ class Session:
         relations: Optional[Sequence[str]] = None,
     ) -> QueryResult:
         """How is *source* connected to *target*?"""
-        return self._run(
+        return self._execute(
             "connections",
             lambda: self._app._flag_degradation(
                 self._graph_impl().connected(
@@ -222,7 +222,7 @@ class Session:
     def find(self, query, top_k: int = 10) -> QueryResult:
         """Hybrid search over content, structure, values, facets, and
         annotations (Section 3.2's unified search)."""
-        return self._run("find", lambda: self._find_impl(query, top_k))
+        return self._execute("find", lambda: self._find_impl(query, top_k))
 
     def _find_impl(self, query, top_k: int) -> QueryResult:
         from repro.query.hybrid import HybridSearch
@@ -257,7 +257,7 @@ class Session:
     def ingest(self, payload: Any, format: Optional[str] = None, **kwargs: Any):
         """Single-payload ingest, attributed to this tenant."""
         self._check_may_write()
-        return self._run("ingest", lambda: self._app.ingest(payload, format, **kwargs))
+        return self._execute("ingest", lambda: self._app.ingest(payload, format, **kwargs))
 
     def ingest_many(
         self,
@@ -269,7 +269,7 @@ class Session:
     ) -> List[Document]:
         """Bulk ingest through the staged pipeline (the fast path)."""
         self._check_may_write()
-        return self._run(
+        return self._execute(
             "ingest_many",
             lambda: self._app.ingest_many(
                 payloads, format, table=table, delimiter=delimiter
@@ -286,7 +286,7 @@ class Session:
     ):
         """Streaming ingest under the configured admission policy."""
         self._check_may_write()
-        return self._run(
+        return self._execute(
             "ingest_stream",
             lambda: self._app.ingest_stream(
                 payloads, format, table=table, delimiter=delimiter
@@ -298,7 +298,7 @@ class Session:
         History and time travel survive; reads, scans, indexes, and
         incrementally maintained views see the document as gone."""
         self._check_may_write()
-        return self._run("delete", lambda: self._app.delete_document(doc_id))
+        return self._execute("delete", lambda: self._app.delete_document(doc_id))
 
     # ------------------------------------------------------------------
     # standing queries — continuous results over the invalidation bus
@@ -313,7 +313,7 @@ class Session:
         starve interactive traffic.  Poll with ``subscription.poll()``
         or pass ``on_delta``.  Closed automatically with the session.
         """
-        subscription = self._run(
+        subscription = self._execute(
             "subscribe",
             lambda: self._app.subscriptions.subscribe(
                 query, tenant=self.tenant, on_delta=on_delta
@@ -326,10 +326,10 @@ class Session:
         """Versioned update; per-document UPDATE enforcement when the
         session carries a policy."""
         if self._secure is not None:
-            return self._run(
+            return self._execute(
                 "update", lambda: self._secure.update_document(doc_id, content)
             )
-        return self._run(
+        return self._execute(
             "update", lambda: self._app.update_document(doc_id, content)
         )
 

@@ -11,6 +11,9 @@ from repro.model.views import base_table_view
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.storage.store import DocumentStore
 
+# Detailed assertion messages inside the shared row-oracle helpers.
+pytest.register_assert_rewrite("tests.row_oracle")
+
 
 @pytest.fixture
 def store() -> DocumentStore:

@@ -1,12 +1,11 @@
-"""Property tests: compiled + adaptive execution ≡ the interpreters.
+"""Property tests: compiled + adaptive execution ≡ the row oracle.
 
 For any data shape, any statistics staleness, and any probe-cost
 penalty (a chaos-degraded node), the compiled path with mid-query
 re-optimization enabled must return the same multiset of rows as the
-interpreted batch engine and the row-at-a-time engine.  When no re-plan
-fires, the compiled path must match the interpreter *exactly* — same
-order, same operator counters, charges equal up to float summation
-order.
+row-at-a-time oracle (tests/row_oracle.py).  When no re-plan fires, the
+compiled path must match the oracle *exactly* — same order, same
+operator row counts, charges equal up to float summation order.
 """
 
 import pytest
@@ -14,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
-from repro.query.adaptive import AdaptiveConfig, ReplanReport
+from repro.query.adaptive import ReplanReport
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.storage.store import DocumentStore
+from tests.row_oracle import RowOracle, assert_matches_oracle
 
 pytestmark = pytest.mark.adaptive
 
@@ -65,15 +65,8 @@ class TestCompiledEquivalence:
             f"SELECT name, amount FROM orders JOIN customers ON cid = cid "
             f"WHERE amount > {threshold}"
         )
-        compiled = QueryEngine(repo).sql(query)
-        interpreted = QueryEngine(
-            repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        ).sql(query)
-        rows_engine = QueryEngine(repo, vectorized=False).sql(query)
-        assert compiled.rows == interpreted.rows
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
-        assert compiled.operator_stats == interpreted.operator_stats
-        assert _multiset(compiled.rows) == _multiset(rows_engine.rows)
+        engine = QueryEngine(repo)
+        assert_matches_oracle(engine.sql(query), RowOracle(repo).sql(query, engine))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -87,12 +80,8 @@ class TestCompiledEquivalence:
             f"SELECT cid, count(*) AS n, sum(amount) AS total FROM orders "
             f"WHERE amount > {group_threshold} GROUP BY cid"
         )
-        compiled = QueryEngine(repo).sql(query)
-        interpreted = QueryEngine(
-            repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        ).sql(query)
-        assert compiled.rows == interpreted.rows
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
+        engine = QueryEngine(repo)
+        assert_matches_oracle(engine.sql(query), RowOracle(repo).sql(query, engine))
 
 
 class TestAdaptiveEquivalence:
@@ -122,9 +111,7 @@ class TestAdaptiveEquivalence:
             repo.probe_penalty = lambda: penalty
         query = "SELECT name, amount FROM orders JOIN customers ON cid = cid"
         adaptive = engine.sql(query, planner="costbased", statistics=stats, adaptive=True)
-        static = QueryEngine(
-            repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        ).sql(query)
+        static = RowOracle(repo).sql(query, QueryEngine(repo))
         assert _multiset(adaptive.rows) == _multiset(static.rows)
 
     @settings(max_examples=15, deadline=None)

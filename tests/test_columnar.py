@@ -25,8 +25,10 @@ from hypothesis import strategies as st
 from repro.exec.batch import MISSING, ColumnBatch
 from repro.model.document import Document
 from repro.model.views import base_table_view
+from repro.query.compile import compile_selector
 from repro.query.engine import LocalRepository, QueryEngine
-from repro.query.plans import Comparison, CompareOp, Conjunction
+from repro.query.plans import Comparison, CompareOp, Conjunction, ScanView
+from repro.query.stats import Statistics
 from repro.storage.bufferpool import BufferPool
 from repro.storage.columnstore import (
     ColumnPage,
@@ -42,6 +44,7 @@ from repro.storage.encoding import (
 )
 from repro.storage.pages import Page, Segment
 from repro.storage.store import DocumentStore
+from tests.row_oracle import RowOracle, assert_matches_oracle
 
 pytestmark = pytest.mark.storage
 
@@ -158,7 +161,8 @@ class TestCodePredicateEquivalence:
         predicate = Conjunction((term,))
         encoded = ColumnBatch({"c": EncodedColumn.from_values(values)}, len(values))
         plain = ColumnBatch({"c": list(values)}, len(values))
-        assert predicate.selector(encoded) == predicate.selector(plain)
+        select = compile_selector(predicate)
+        assert select(encoded) == select(plain)
 
     @given(st.lists(scalars, max_size=100), comparison_ops, literals)
     @settings(max_examples=200, deadline=None)
@@ -410,7 +414,7 @@ class TestOversizedDocuments:
 
 
 # ----------------------------------------------------------------------
-# engine integration: native path ≡ transpose path ≡ row engine
+# engine integration: native path ≡ transpose path ≡ row oracle
 # ----------------------------------------------------------------------
 class _TransposeOnly:
     """Repository proxy hiding the native columnar scan — forces the
@@ -447,13 +451,33 @@ class TestEngineIntegration:
 
     def test_native_equals_transpose_equals_rows(self):
         repo = self._repo()
-        native = QueryEngine(repo).sql(SQL)
-        transpose = QueryEngine(_TransposeOnly(repo)).sql(SQL)
-        row_engine = QueryEngine(repo, vectorized=False).sql(SQL)
-        assert native.rows == transpose.rows == row_engine.rows
+        native_engine = QueryEngine(repo)
+        expected = RowOracle(repo).sql(SQL, native_engine)
         # the physical shortcut must not perturb the simulated cost
-        assert native.sim_ms == pytest.approx(transpose.sim_ms)
-        assert native.sim_ms == pytest.approx(row_engine.sim_ms)
+        assert_matches_oracle(native_engine.sql(SQL), expected)
+        assert_matches_oracle(QueryEngine(_TransposeOnly(repo)).sql(SQL), expected)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "transpose"])
+    def test_collect_statistics_matches_oracle_scan(self, native):
+        """Statistics collection scans through the engine's batch scan;
+        it must see exactly the oracle's row scan — under updates,
+        deletes, NULLs, and documents missing view columns."""
+        repo = self._repo()
+        store = repo.store
+        store.put(_order(60, region=None))
+        store.put(Document(doc_id="o61", content={"orders": {"oid": 61}},
+                           metadata={"table": "orders"}))
+        store.put(Document(doc_id="o62", content={"orders": {"oid": 62, "amount": None}},
+                           metadata={"table": "orders"}))
+        store.delete("o3")
+        store.update("o12", {"orders": {"oid": 12, "amount": None, "region": "west"}})
+        assert repo.view_column_batches(ORDERS, 1024) is not None
+        source = repo if native else _TransposeOnly(repo)
+        collected = QueryEngine(source).collect_statistics(["orders"])
+        expected = Statistics()
+        expected.collect({"orders": RowOracle(repo).run(ScanView("orders")).rows})
+        assert collected.view("orders") == expected.view("orders")
+        assert collected.collect_row_count == expected.collect_row_count
 
     def test_filter_runs_on_codes(self):
         """The scan feeds still-encoded columns into the filter."""

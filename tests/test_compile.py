@@ -1,17 +1,17 @@
 """Tests for compiled operator pipelines (docs/ADAPTIVE.md).
 
-The compiled path must be observationally identical to the interpreted
-batch engine — same rows in the same order, same per-operator counters,
-same simulated charges (up to float summation order) — while actually
-moving less data (fused filter→project prunes columns before the gather;
-fused filter→aggregate never materializes the filtered batch).
+The compiled path must be observationally identical to the row oracle
+(tests/row_oracle.py) — same rows in the same order, same per-operator
+row counts, same simulated charges (up to float summation order) — while
+actually moving less data (fused filter→project prunes columns before
+the gather; fused filter→aggregate never materializes the filtered
+batch).
 """
 
 import pytest
 
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
-from repro.query.adaptive import AdaptiveConfig
 from repro.query.compile import compile_plan, compile_selector, plan_fingerprint
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.planner import PhysHashJoin
@@ -24,6 +24,7 @@ from repro.query.plans import (
 )
 from repro.query.sql import parse_sql
 from repro.storage.store import DocumentStore
+from tests.row_oracle import RowOracle, assert_matches_oracle
 
 
 @pytest.fixture
@@ -90,7 +91,7 @@ class TestFingerprint:
 
 
 class TestCompiledSelector:
-    def test_matches_interpreted_selector(self, wide_repo):
+    def test_matches_row_predicate(self, wide_repo):
         engine = QueryEngine(wide_repo)
         from repro.query.engine import _CostMeter
 
@@ -100,7 +101,8 @@ class TestCompiledSelector:
         ))
         select = compile_selector(predicate)
         for batch in engine._view_batches("orders", _CostMeter()):
-            assert select(batch) == predicate.selector(batch)
+            expected = [i for i, row in enumerate(batch.to_rows()) if predicate.matches(row)]
+            assert select(batch) == expected
 
     def test_narrows_candidates(self, wide_repo):
         engine = QueryEngine(wide_repo)
@@ -122,38 +124,27 @@ class TestCompiledSelector:
 
 
 class TestCompiledIdentity:
-    """Compiled output is indistinguishable from the interpreter's."""
+    """Compiled output is indistinguishable from the row oracle's."""
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_rows_and_charges_identical(self, wide_repo, query):
-        compiled_engine = QueryEngine(wide_repo)
-        interpreted_engine = QueryEngine(
-            wide_repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        )
-        compiled = compiled_engine.sql(query)
-        interpreted = interpreted_engine.sql(query)
-        assert compiled.rows == interpreted.rows
+        engine = QueryEngine(wide_repo)
         # same per-row charges, possibly summed in a different order
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
-        assert compiled.operator_stats == interpreted.operator_stats
+        assert_matches_oracle(engine.sql(query), RowOracle(wide_repo).sql(query, engine))
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_rows_match_row_engine(self, wide_repo, query):
-        compiled_engine = QueryEngine(wide_repo)
-        row_engine = QueryEngine(wide_repo, vectorized=False)
-        assert compiled_engine.sql(query).rows == row_engine.sql(query).rows
+        # Batch boundaries are invisible: tiny batches give the same answer.
+        engine = QueryEngine(wide_repo, batch_size=7)
+        assert_matches_oracle(engine.sql(query), RowOracle(wide_repo).sql(query, engine))
 
     def test_costbased_plans_compile_identically(self, wide_repo):
         query = QUERIES[7]
-        compiled_engine = QueryEngine(wide_repo)
-        interpreted_engine = QueryEngine(
-            wide_repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        )
-        stats = compiled_engine.collect_statistics(["customers", "orders"])
-        compiled = compiled_engine.sql(query, planner="costbased", statistics=stats)
-        interpreted = interpreted_engine.sql(query, planner="costbased", statistics=stats)
-        assert compiled.rows == interpreted.rows
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
+        engine = QueryEngine(wide_repo)
+        stats = engine.collect_statistics(["customers", "orders"])
+        compiled = engine.sql(query, planner="costbased", statistics=stats)
+        expected = RowOracle(wide_repo).sql(query, engine, "costbased", stats)
+        assert_matches_oracle(compiled, expected)
 
 
 class TestFusedStages:

@@ -1,6 +1,6 @@
-"""Vectorized execution: ColumnBatch, batch operators, and the
-cross-engine guarantee that the vectorized and legacy row interpreters
-return identical rows (docs/EXECUTION.md)."""
+"""Vectorized execution: ColumnBatch, batch operators, and the guarantee
+that the engine returns the row oracle's rows, simulated cost, and
+operator row counts (docs/EXECUTION.md)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,23 +17,21 @@ from repro.exec.batch import (
 )
 from repro.exec.operators import (
     AggSpec,
+    GroupAggregator,
     OperatorStats,
-    filter_batches,
     group_aggregate,
-    group_aggregate_batches,
     hash_join,
     hash_join_batches,
     merge_joined_row,
-    project_batches,
     project_rows,
-    selector_from_predicate,
     sort_batches,
     sort_rows,
     top_k,
-    top_k_batches,
 )
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
+from repro.query.adaptive import AdaptiveConfig
+from repro.query.compile import compile_selector
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.plans import (
     Aggregate,
@@ -48,6 +46,7 @@ from repro.query.plans import (
 )
 from repro.storage.store import DocumentStore
 from repro.workloads.relational import RelationalWorkload
+from tests.row_oracle import RowOracle, assert_matches_oracle
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +106,7 @@ class TestColumnBatch:
 
 
 # ----------------------------------------------------------------------
-# vectorized operators agree with the row operators
+# batch operators agree with the row operators
 # ----------------------------------------------------------------------
 ROWS = [
     {"g": "a", "v": 3.0, "w": None},
@@ -126,22 +125,14 @@ class TestVectorizedOperators:
     def test_filter_matches_row_filter(self):
         predicate = Conjunction((Comparison("v", CompareOp.GT, 1.5),))
         expected = [r for r in ROWS if predicate.matches(r)]
-        out = rows_from_batches(
-            filter_batches(_batches(ROWS), predicate.selector)
-        )
+        select = compile_selector(predicate)
+        out = rows_from_batches(b.take(select(b)) for b in _batches(ROWS))
         assert out == expected
-
-    def test_selector_from_predicate_fallback(self):
-        out = rows_from_batches(
-            filter_batches(
-                _batches(ROWS), selector_from_predicate(lambda r: r["w"] is None)
-            )
-        )
-        assert out == [r for r in ROWS if r["w"] is None]
 
     def test_project_matches_row_project(self):
         expected = list(project_rows(ROWS, ["g", "w"]))
-        assert rows_from_batches(project_batches(_batches(ROWS), ["g", "w"])) == expected
+        got = rows_from_batches(b.select_columns(["g", "w"]) for b in _batches(ROWS))
+        assert got == expected
 
     def test_sort_matches_row_sort(self):
         for descending in (False, True):
@@ -150,9 +141,10 @@ class TestVectorizedOperators:
             assert got == expected
 
     def test_top_k_matches_row_top_k(self):
+        # ORDER BY ... LIMIT k runs as a batch sort plus a head().
         for descending in (False, True):
             expected = top_k(list(ROWS), 3, "v", descending)
-            got = top_k_batches(_batches(ROWS), 3, "v", descending).to_rows()
+            got = sort_batches(_batches(ROWS), ["v"], descending).head(3).to_rows()
             assert got == expected
 
     def test_group_aggregate_matches_row_aggregate(self):
@@ -165,8 +157,10 @@ class TestVectorizedOperators:
             AggSpec("hi", "max", "v"),
         ]
         expected = group_aggregate(ROWS, ["g"], aggs)
-        got = group_aggregate_batches(_batches(ROWS), ["g"], aggs).to_rows()
-        assert got == expected
+        aggregator = GroupAggregator(["g"], aggs)
+        for batch in _batches(ROWS):
+            aggregator.add_batch(batch)
+        assert aggregator.finish().to_rows() == expected
 
     def test_hash_join_matches_row_join(self):
         left = [{"k": 1, "x": "l1"}, {"k": 2, "x": "l2"}, {"k": None, "x": "l3"}]
@@ -180,11 +174,10 @@ class TestVectorizedOperators:
 
     def test_batch_stats_accounting(self):
         stats = OperatorStats()
-        predicate = Conjunction((Comparison("v", CompareOp.GT, 1.5),))
-        out = list(filter_batches(_batches(ROWS), predicate.selector, stats))
-        assert stats.rows_in == len(ROWS)
+        out = list(hash_join_batches(_batches(ROWS), _batches(ROWS), "g", "g", stats))
+        assert stats.rows_in == 2 * len(ROWS)
         assert stats.rows_out == sum(b.length for b in out)
-        assert stats.batches_in == 3 and stats.batches_out == len(out)
+        assert stats.batches_in == 6 and stats.batches_out == len(out)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +269,7 @@ def _build_repo(n_customers=25, n_orders=120, with_nulls=True):
 @pytest.fixture(scope="module")
 def engines():
     repo = _build_repo()
-    return QueryEngine(repo, batch_size=32), QueryEngine(repo, vectorized=False)
+    return QueryEngine(repo, batch_size=32), RowOracle(repo)
 
 
 class TestEngineIntegration:
@@ -291,29 +284,21 @@ class TestEngineIntegration:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_engines_agree_on_rows_and_cost(self, engines, query):
-        vec, row = engines
-        rv, rr = vec.sql(query), row.sql(query)
-        assert rv.rows == rr.rows
-        assert rv.sim_ms == pytest.approx(rr.sim_ms)
+        engine, oracle = engines
+        assert_matches_oracle(engine.sql(query), oracle.sql(query, engine))
 
     def test_vectorized_result_carries_batches_and_stats(self, engines):
-        vec, row = engines
-        result = vec.sql("SELECT * FROM orders WHERE amount > 100")
+        engine, _ = engines
+        result = engine.sql("SELECT * FROM orders WHERE amount > 100")
         assert result.batches is not None
         assert rows_from_batches(result.batches) == result.rows
         assert result.operator_stats["scan"].batches_out >= 1
         assert result.operator_stats["filter"].rows_out == len(result.rows)
-        legacy = row.sql("SELECT * FROM orders WHERE amount > 100")
-        assert legacy.batches is None
-        assert legacy.operator_stats["filter"].rows_out == len(legacy.rows)
 
     def test_count_star_vs_count_column_nulls(self, engines):
-        vec, row = engines
-        for engine in engines:
-            result = engine.sql(
-                "SELECT count(*) AS star, count(amount) AS n,"
-                " avg(amount) AS a FROM orders"
-            )
+        engine, oracle = engines
+        query = "SELECT count(*) AS star, count(amount) AS n, avg(amount) AS a FROM orders"
+        for result in (engine.sql(query), oracle.sql(query, engine)):
             (out,) = result.rows
             assert out["star"] == 140  # every row counts
             assert out["n"] == 130  # 10 NULL amounts skipped
@@ -327,23 +312,21 @@ class TestEngineIntegration:
                 "relational",
                 table="orders",
             )
-        assert app.engine.vectorized is True
         result = app.sql("SELECT region, sum(amount) AS s FROM orders GROUP BY region")
         assert len(result.rows) == 4
         assert result.batches is not None
         snapshot = app.telemetry.snapshot()
         assert snapshot["counters"]["exec.batches"] >= 1
 
-    def test_config_row_engine_fallback(self):
-        app = Impliance(
-            ApplianceConfig(n_data_nodes=2, n_grid_nodes=1, vectorized=False)
-        )
-        for i in range(10):
-            app.ingest({"oid": i, "amount": float(i)}, "relational", table="orders")
-        assert app.engine.vectorized is False
-        result = app.sql("SELECT * FROM orders WHERE amount >= 5")
-        assert len(result.rows) == 5
-        assert result.batches is None
+    def test_engine_switches_are_gone(self):
+        # Compiled pipelines are the only executor; the row interpreter
+        # survives only as the test oracle (tests/row_oracle.py).
+        with pytest.raises(TypeError):
+            ApplianceConfig(vectorized=False)
+        with pytest.raises(TypeError):
+            AdaptiveConfig(compiled_pipelines=False)
+        with pytest.raises(TypeError):
+            QueryEngine(_build_repo(n_orders=1, with_nulls=False), vectorized=False)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +384,7 @@ class TestBatchShipping:
 
 
 # ----------------------------------------------------------------------
-# property test: both engines run the same random plans identically
+# property test: the engine runs random plans exactly like the oracle
 # ----------------------------------------------------------------------
 _PROP_REPO = None
 
@@ -410,10 +393,7 @@ def _prop_engines():
     global _PROP_REPO
     if _PROP_REPO is None:
         _PROP_REPO = _build_repo(n_customers=12, n_orders=60)
-    return (
-        QueryEngine(_PROP_REPO, batch_size=16),
-        QueryEngine(_PROP_REPO, vectorized=False),
-    )
+    return QueryEngine(_PROP_REPO, batch_size=16), RowOracle(_PROP_REPO)
 
 
 _comparisons = st.one_of(
@@ -478,8 +458,5 @@ def _plans(draw):
 @settings(max_examples=40, deadline=None)
 @given(plan=_plans())
 def test_property_engines_identical(plan):
-    vec, row = _prop_engines()
-    rv = vec.execute(plan)
-    rr = row.execute(plan)
-    assert rv.rows == rr.rows
-    assert rv.sim_ms == pytest.approx(rr.sim_ms)
+    engine, oracle = _prop_engines()
+    assert_matches_oracle(engine.execute(plan), oracle.execute(plan, engine))

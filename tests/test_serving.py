@@ -364,6 +364,27 @@ class TestWorkloadDriver:
         a, b = self._run().to_dict(), self._run().to_dict()
         assert a == b
 
+    def test_sql_requests_complete_without_errors(self):
+        spec = TenantSpec("cc", corpus="callcenter", qos=QOS_INTERACTIVE, sessions=3,
+                          requests_per_session=3, mix={"sql": 0.7, "search": 0.3},
+                          arrival=ArrivalSpec(process="closed", think_ms=20.0))
+        app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
+        report = WorkloadDriver(app, [spec], seed=3).run(duration_ms=200.0)
+        assert report.errors == 0, report.errors_by_type
+        assert report.completed == report.offered == 9
+
+    def test_errors_counted_by_type(self, monkeypatch):
+        from repro.serving.session import Session
+
+        def broken(self, query, top_k):
+            raise LookupError(query)
+
+        monkeypatch.setattr(Session, "_search_impl", broken)
+        report = self._run()
+        assert report.errors > 0
+        assert report.errors_by_type == {"LookupError": report.errors}
+        assert report.to_dict()["errors_by_type"] == {"LookupError": report.errors}
+
     def test_driver_rejects_bad_specs(self):
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
         with pytest.raises(ValueError):

@@ -46,7 +46,7 @@ CHECKS = [
     (
         "BENCH_adaptive.json",
         "benchmarks/bench_adaptive.py",
-        ["compiled.speedup", "chaos.sim_speedup"],
+        ["chaos.sim_speedup"],
     ),
 ]
 
