@@ -100,8 +100,8 @@ coverage:
 # re-optimization smoke (writes BENCH_adaptive.json), and the
 # perf-regression gate over the committed headline speedups (exec
 # speedup and columnar speedup, cache speedup, adaptive degraded-node
-# sim speedup; end-to-end query throughput is gated by BENCHMARK.json's
-# analytic_sql workload).
+# sim speedup, batched-ingest speedup; end-to-end query throughput is
+# gated by BENCHMARK.json's analytic_sql workload).
 verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke perf-regress
 
 bench:

@@ -44,7 +44,7 @@ def canonical_pipeline(cluster, placement="paper"):
     else:
         raise ValueError(placement)
 
-    # Stage 1: full-text search always runs where the indexes live.
+    # Stage 1: full-text search always runs where the documents live.
     partitions = executor.search("excellent widgetpro", top_n=20, report=report)
     hits, ready = executor.gather(partitions, compute_node, report=report)
 

@@ -67,8 +67,8 @@ def make_app(bulk: bool = False) -> Impliance:
 def seed_ingest(app: Impliance, document: Document) -> None:
     """The pre-pipeline per-document path: one routing round and one
     ``store.put`` per document, every maintenance stage fired reactively
-    from the put listeners (per-node indexes, global catalog, discovery,
-    auto-views, cache invalidation — each walking the document itself)."""
+    from the put listeners (the cluster index, discovery, auto-views,
+    cache invalidation — each walking the document itself)."""
     home, _ = app.cluster.ingest(document)
     assert home.store is not None
 
@@ -170,6 +170,11 @@ def main() -> int:
         "--quick", action="store_true",
         help="smaller corpus (the make-verify target)",
     )
+    parser.add_argument(
+        "--out", default=RESULT_PATH,
+        help="where to write the JSON summary (default: BENCH_ingest.json;"
+             " the perf-regress gate points this at a scratch path)",
+    )
     args = parser.parse_args()
     n_orders = 2_000 if args.quick else N_ORDERS
 
@@ -180,7 +185,7 @@ def main() -> int:
         report_rows(summary),
     )
     print(f"speedup: {summary['speedup']:.2f}x")
-    write_results(summary)
+    write_results(summary, args.out)
     assert_claims(summary)
     print("\nINGEST smoke: OK (results in BENCH_ingest.json)")
     return 0

@@ -39,7 +39,7 @@ class CacheHierarchy:
     ) -> None:
         self.config = config if config is not None else CacheConfig()
         # None-guarded (not the DISABLED singleton): cache lookups sit on
-        # the hottest query path, mirroring the per-node IndexManager rule.
+        # the hottest query path, mirroring the IndexManager commit hook.
         self.telemetry = telemetry if (telemetry is not None and telemetry.enabled) else None
         self.bus = bus if bus is not None else InvalidationBus()
         self.plans = PlanCache(self.config.plan_entries, telemetry=self.telemetry)

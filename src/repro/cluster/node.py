@@ -7,8 +7,8 @@ of computation ... but each supporting the same execution environment."
 A node is a cost-accounting execution resource: work is charged in
 simulated milliseconds against a per-node timeline (``available_at``), so
 a set of nodes executing in parallel yields a makespan.  Data nodes also
-own a document store and its indexes; cluster nodes carry consistency-
-group state; grid nodes are stateless compute.
+own a document store (the cluster's one index hooks onto it); cluster
+nodes carry consistency-group state; grid nodes are stateless compute.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.index.manager import IndexManager
 from repro.storage.store import DocumentStore
 from repro.util import LogicalClock
 
@@ -103,12 +102,11 @@ class SimNode:
         # observability overhead; the cluster attaches an enabled
         # Telemetry here (see ImplianceCluster.attach_telemetry).
         self.telemetry = None
-        # Data nodes own a store + local indexes; others have none.
+        # Data nodes own a store (the cluster's one IndexManager indexes
+        # it through its commit hook); others have none.
         self.store: Optional[DocumentStore] = None
-        self.indexes: Optional[IndexManager] = None
         if kind is NodeKind.DATA:
             self.store = DocumentStore(clock=store_clock, buffer_capacity=buffer_capacity)
-            self.indexes = IndexManager(self.store)
 
     # ------------------------------------------------------------------
     def efficiency(self, operator: str) -> float:

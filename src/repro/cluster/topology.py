@@ -3,10 +3,12 @@
 One :class:`ImplianceCluster` is a single-system-image appliance instance
 (Figure 3): data nodes own hash-partitioned document storage, grid nodes
 form work crews for analytics, cluster nodes form the consistency group
-that serializes updates.  The software "automatically detect[s] which
-hardware components are available and reconfigur[es] itself if there are
-changes" (Section 3.1) — :meth:`detect_topology` is that inventory pass
-and runs again whenever nodes are added or fail.
+that serializes updates.  One :class:`IndexManager` indexes every data
+node's store through its commit hook, so each version is indexed once.
+The software "automatically detect[s] which hardware components are
+available and reconfigur[es] itself if there are changes" (Section 3.1)
+— :meth:`detect_topology` is that inventory pass and runs again whenever
+nodes are added or fail.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.cluster.groups import ConsistencyGroup
 from repro.cluster.network import Network
 from repro.cluster.node import NodeKind, SimNode
+from repro.index.manager import IndexManager
 from repro.model.document import Document
 from repro.util import LogicalClock, stable_hash
 
@@ -72,6 +75,9 @@ class ImplianceCluster:
         self._generation = 0
         self._buffer_capacity = buffer_capacity
         self._telemetry = None
+        #: The one index over every data node's documents, maintained by
+        #: each store's commit hook (attached in :meth:`_add`).
+        self.indexes = IndexManager()
         for i in range(n_data):
             self._add(SimNode(f"data-{i}", NodeKind.DATA, store_clock=self.clock,
                               buffer_capacity=buffer_capacity))
@@ -91,6 +97,8 @@ class ImplianceCluster:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
+        if node.store is not None:
+            self.indexes.attach(node.store)
         return node
 
     def add_node(self, kind: NodeKind) -> SimNode:
@@ -147,13 +155,15 @@ class ImplianceCluster:
     # observability
     # ------------------------------------------------------------------
     def attach_telemetry(self, telemetry) -> None:
-        """Wire a :class:`repro.obs.Telemetry` into every node timeline.
+        """Wire a :class:`repro.obs.Telemetry` into every node timeline
+        and the cluster index.
 
-        Only an *enabled* telemetry is attached — nodes keep a None hook
-        otherwise, so the per-``run()`` hot path pays nothing when
-        observability is off.  Nodes added later inherit the hook.
+        Only an *enabled* telemetry is attached — nodes and the index keep
+        a None hook otherwise, so the per-``run()`` hot path pays nothing
+        when observability is off.  Nodes added later inherit the hook.
         """
         self._telemetry = telemetry if telemetry.enabled else None
+        self.indexes.telemetry = self._telemetry
         for node in self._nodes.values():
             node.telemetry = self._telemetry
 
@@ -210,8 +220,8 @@ class ImplianceCluster:
         """Route and persist one document; returns (home node, finish time).
 
         Persisting charges CPU at the home data node proportional to the
-        document's size; indexing happens through the node's own index
-        manager (incremental, Section 3.3).
+        document's size; the store's commit hook indexes it in the
+        cluster index (incremental, Section 3.3).
         """
         home = self.home_of(document.doc_id)
         assert home.store is not None

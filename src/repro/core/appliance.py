@@ -4,7 +4,7 @@ This class is what a user of the appliance sees (Section 2.2's "stewing
 pot"): throw data in with no preparation, search it immediately, let
 asynchronous discovery enrich it, and query the enriched soup through
 keyword, faceted, SQL, and graph interfaces.  Internally it wires the
-simulated cluster, global indexes, the view catalog, the discovery
+simulated cluster, its one index, the view catalog, the discovery
 engine, execution management, storage management, and rolling upgrades.
 """
 
@@ -25,7 +25,6 @@ from repro.discovery.pipeline import DiscoveryEngine
 from repro.discovery.relationships import RelationshipRule
 from repro.exec.parallel import ParallelExecutor
 from repro.index.facets import FacetDefinition, metadata_facet, source_format_facet
-from repro.index.manager import IndexManager
 from repro.ingest import IngestPipeline, IngestReport
 from repro.model.converters import (
     from_csv,
@@ -90,12 +89,12 @@ class Impliance:
             buffer_capacity=self.config.buffer_capacity,
         )
         self.cluster.attach_telemetry(self.telemetry)
-        # Single-system-image catalog: a global index over everything,
+        # Single-system-image catalog: the cluster's one index over
+        # everything (every data-node store's commit hook maintains it),
         # plus the view catalog legacy SQL applications use (Figure 2).
-        self.indexes = IndexManager(
-            facets=[source_format_facet(), metadata_facet("table", "table")],
-            telemetry=self.telemetry if self.telemetry.enabled else None,
-        )
+        self.indexes = self.cluster.indexes
+        self.indexes.facets.define(source_format_facet())
+        self.indexes.facets.define(metadata_facet("table", "table"))
         self.views = ViewCatalog()
         # The cache hierarchy sits between the engine and everything that
         # can change an answer: every data node's put stream and every
@@ -226,8 +225,10 @@ class Impliance:
     # internal wiring
     # ------------------------------------------------------------------
     def _on_any_put_batch(self, pairs) -> None:
-        """Every persisted document updates the global catalog and joins
-        the discovery queue (annotations excluded there).
+        """Every persisted document joins the discovery queue (annotations
+        excluded there) and grows the auto-views of its table.  Indexing
+        is not done here: the cluster index's own store hook, attached
+        earlier, has already indexed the batch.
 
         This is the *reactive* maintenance path — direct ``store.put``
         calls (replication repair, chaos re-homing, annotation persistence)
@@ -239,11 +240,9 @@ class Impliance:
             return
         for document, _address in pairs:
             if document.is_tombstone:
-                # A delete: drop the document from every index; discovery
-                # and view growth have nothing to learn from a tombstone.
-                self.indexes.unindex(document.doc_id)
+                # Discovery and view growth have nothing to learn from a
+                # tombstone.
                 continue
-            self.indexes.index_document(document)
             self.discovery.enqueue(document)
             if document.metadata.get("table"):
                 self._maintain_auto_views((document,))
@@ -843,8 +842,11 @@ class Impliance:
 
         The rebuilt :class:`DocumentStore` re-derives everything from
         the replayed versions — chains, tombstones, page layout, the
-        columnar mirror — and a fresh node-local index populates during
-        replay.  Every chain is verified against a surviving replica's
+        columnar mirror.  The cluster index is not rebuilt: it already
+        holds every replayed version (it indexed them at their original
+        commit, and the outage's writes at theirs), so it attaches to the
+        rebuilt store only after replay, for the commits that follow.
+        Every chain is verified against a surviving replica's
         version records (version, timestamp, content digest); any
         divergence raises :class:`RecoveryError` *before* the node
         serves a query.  Versions committed to the re-homed copies while
@@ -874,16 +876,14 @@ class Impliance:
         rebuilt = DocumentStore(
             clock=self.cluster.clock, buffer_capacity=self.config.buffer_capacity
         )
-        # The node-local index attaches before replay so it populates
-        # incrementally; global listeners (bus, catalog, caches) attach
-        # only after — a replay must not re-publish or re-ship.
-        local_indexes = IndexManager(rebuilt)
+        # Every listener (index, bus, catalog, caches) attaches only after
+        # replay and catch-up — a replay must not re-index, re-publish or
+        # re-ship versions the appliance has already seen.
         replayed, records, snapshot_lsn = self.recovery.replay_into(rebuilt, node_id)
         caught_up, verified, unmatched = self._catch_up_from_survivors(rebuilt)
 
         old_store = node.store
         node.store = rebuilt
-        node.indexes = local_indexes
         manager = next(
             (m for m in self._storage_managers if m.store is old_store), None
         )
@@ -908,6 +908,9 @@ class Impliance:
             )
             self._storage_managers.append(manager)
         self.miner.attach(rebuilt.buffer_pool)
+        # Index first, as on every other data-node store: delta consumers
+        # behind the catalog and the cache bus must see indexed state.
+        self.indexes.attach(rebuilt)
         rebuilt.batch_put_listeners.append(self._on_any_put_batch)
         self.caches.attach_to_store(rebuilt)
 

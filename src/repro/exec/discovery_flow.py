@@ -62,8 +62,8 @@ def run_distributed_discovery(
 
     Returns counts plus the per-stage cost report.  Annotation documents
     are persisted at each subject's home data node under consistency-
-    group locks; co-mention edges land in every data node's join index
-    (they are derived data — BRONZE — so a broadcast copy is fine).
+    group locks; each co-mention edge lands once in the cluster's join
+    index (``cluster.indexes.joins``).
     """
     labels = dict(entity_labels or {"person": "name"})
     result = DistributedDiscoveryResult()
@@ -160,10 +160,7 @@ def run_distributed_discovery(
     for entity in resolver.entities():
         doc_ids = sorted(entity.doc_ids)
         for a, b in zip(doc_ids, doc_ids[1:]):
-            edge = JoinEdge("co_mentions", a, b, confidence=0.7)
-            for node in cluster.data_nodes:
-                assert node.indexes is not None
-                node.indexes.joins.add(edge)
+            cluster.indexes.joins.add(JoinEdge("co_mentions", a, b, confidence=0.7))
             edges += 1
     result.edges = edges
     result.report.record(

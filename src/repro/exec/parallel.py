@@ -365,59 +365,6 @@ class ParallelExecutor:
             )
         return partitions
 
-    def scan_view_batches(
-        self,
-        view,
-        after: float = 0.0,
-        report: Optional[ExecReport] = None,
-        label: str = "scan-columnar",
-    ) -> Optional[BatchPartitions]:
-        """Parallel native columnar scan (docs/STORAGE.md): every data
-        node yields still-encoded ColumnBatches straight off its column
-        pages, ready to ship via :meth:`gather_batches` — where
-        :func:`costs.estimate_batch_bytes` charges the *encoded* sizes,
-        so compression bought at the storage layer is compression on the
-        wire too.  Returns ``None`` when *view* cannot be answered
-        columnar (the caller falls back to :meth:`scan`).
-
-        The simulated scan charge matches :meth:`scan` exactly: every
-        live document on the node costs :data:`costs.SCAN_CPU_MS_PER_DOC`
-        plus the projection cost per produced row — the physical shortcut
-        must not perturb the cost model experiments compare.
-        """
-        partitions: BatchPartitions = {}
-        total_rows = 0
-        encoded_bytes = 0
-        for node in self.cluster.data_nodes:
-            store = node.store
-            assert store is not None
-            produced = store.scan_view_batches(view, self.batch_size)
-            if produced is None:
-                return None
-            batches = [b for b in produced if b.length]
-            n_rows = sum(b.length for b in batches)
-            cost = (
-                store.live_doc_count * costs.SCAN_CPU_MS_PER_DOC
-                + n_rows * costs.PROJECT_CPU_MS_PER_ROW
-            )
-            finish = node.run(cost, after, label=label, operator="scan")
-            partitions[node.node_id] = (batches, finish)
-            total_rows += n_rows
-            encoded_bytes += costs.estimate_batches_bytes(batches)
-        self._note_stage(label, total_rows)
-        if self.telemetry.enabled and encoded_bytes:
-            self.telemetry.inc("exec.bytes_encoded_produced", encoded_bytes)
-        if report is not None:
-            report.record(
-                StageTiming(
-                    label=label,
-                    finish_ms=max((f for _, f in partitions.values()), default=after),
-                    rows=total_rows,
-                    nodes=tuple(sorted(partitions)),
-                )
-            )
-        return partitions
-
     def search(
         self,
         query: str,
@@ -426,14 +373,18 @@ class ParallelExecutor:
         report: Optional[ExecReport] = None,
         label: str = "search",
     ) -> Partitions:
-        """Parallel full-text search: each data node scores its local
-        index and keeps its top-n; the merge happens at gather time."""
+        """Parallel full-text search: each data node scores its own
+        documents in the cluster index and keeps its top-n; the merge
+        happens at gather time.  BM25 statistics are cluster-wide, so the
+        merged top-n equals the one-index top-n."""
+        text = self.cluster.indexes.text
         partitions: Partitions = {}
         total = 0
         for node in self.cluster.data_nodes:
-            assert node.indexes is not None
-            hits = node.indexes.text.search(query, top_k=top_n)
-            scored = len(node.indexes.text.match_all(query)) or len(hits)
+            assert node.store is not None
+            local = set(node.store.doc_ids())
+            hits = text.search(query, top_k=top_n, candidates=local)
+            scored = len(text.match_all(query) & local) or len(hits)
             cost = max(scored, len(hits)) * costs.SEARCH_MS_PER_DOC_SCORED
             finish = node.run(cost, after, label=label, operator="search")
             rows = [{"doc_id": h.doc_id, "score": h.score} for h in hits]

@@ -54,8 +54,8 @@ class IndexManager:
         deferred: bool = False,
         telemetry=None,
     ) -> None:
-        # Telemetry stays None-guarded (not the DISABLED singleton):
-        # per-node index managers are numerous and their put hook is hot.
+        # Telemetry stays None-guarded (not the DISABLED singleton): the
+        # store commit hook runs once per group commit on the write path.
         self.telemetry = telemetry
         self.text = InvertedIndex()
         self.structure = StructuralIndex()
@@ -65,17 +65,14 @@ class IndexManager:
         self.deferred = deferred
         self.stats = IndexManagerStats()
         self._pending: Deque[Document] = deque()
-        self._store = store
         if store is not None:
-            store.batch_put_listeners.append(self._on_put_batch)
+            self.attach(store)
 
     # ------------------------------------------------------------------
-    def _on_put(self, document: Document, address: PageAddress) -> None:
-        if self.deferred:
-            self._pending.append(document)
-            self.stats.deferred += 1
-        else:
-            self.index_document(document)
+    def attach(self, store: DocumentStore) -> None:
+        """Index every version *store* commits from now on (its commit
+        hook is this manager's maintenance path)."""
+        store.batch_put_listeners.append(self._on_put_batch)
 
     def _on_put_batch(self, pairs: List[Tuple[Document, PageAddress]]) -> None:
         """Store hook: one call per group commit.
@@ -200,17 +197,3 @@ class IndexManager:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    # ------------------------------------------------------------------
-    def rebuild_from(self, store: DocumentStore) -> None:
-        """Full rebuild from a store scan (the IDX baseline strategy)."""
-        self.text = InvertedIndex()
-        self.structure = StructuralIndex()
-        self.values = ValueIndex()
-        rebuilt_facets = FacetIndex()
-        for name in self.facets.facet_names():
-            rebuilt_facets.define(self.facets._definitions[name])
-        self.facets = rebuilt_facets
-        self._pending.clear()
-        for document in store.scan(latest_only=True):
-            self.index_document(document)

@@ -13,12 +13,13 @@ queue between producer and group commit:
    full queue stalls (or sheds) the producer instead of growing without
    bound.
 3. **group commit** — one batch takes one sharded storage write across
-   the data nodes, one index-maintenance round, one coalesced cache
-   invalidation epoch, and one discovery enqueue.
+   the data nodes (each shard's commit hook indexes it in one bulk
+   pass), one coalesced cache invalidation epoch, and one discovery
+   enqueue.
 
 The pipeline drives the same appliance components the per-document
 reactive path uses; it merely orchestrates them batch-at-a-time.  While
-a batch commits, the appliance's store listeners stand down
+a batch commits, the appliance's reactive store listener stands down
 (``_pipeline_active``) so stages run exactly once per document.
 """
 
@@ -172,21 +173,24 @@ class IngestPipeline:
     def _commit_batch(self, batch: List[Document]) -> List[Document]:
         """One group commit: storage shards, indexes, views, discovery.
 
-        The appliance's reactive store listeners are suppressed for the
-        duration — the pipeline calls each maintenance stage explicitly,
-        once per batch — and every per-store put event lands in a single
-        coalesced invalidation publication (one cache epoch, one change
-        set per batch, however many nodes the batch sharded across).
+        The appliance's reactive store listener is suppressed for the
+        duration — the pipeline runs auto-view growth and discovery
+        enqueue explicitly, once per batch, in arrival order — and every
+        per-store put event lands in a single coalesced invalidation
+        publication (one cache epoch, one change set per batch, however
+        many nodes the batch sharded across).  Indexing needs no stage of
+        its own: the cluster index's store hook indexes each shard's
+        group commit inside ``executor.ingest_batch`` (tombstones
+        unindex).
 
-        Index and auto-view maintenance run *inside* the coalescing
-        window: the change set is published when the window closes, so
-        delta consumers — incremental materializations, standing-query
-        notifications that may re-evaluate through the engine — always
-        observe the batch fully committed (stores, indexes, and catalog
-        views consistent), exactly like the reactive path, where store
-        listeners index before the bus publishes.  Tombstones in the
-        batch (batched deletes) are unindexed instead of indexed and
-        skip discovery/view growth.
+        Everything runs *inside* the coalescing window: the change set
+        is published when the window closes, so delta consumers —
+        incremental materializations, standing-query notifications that
+        may re-evaluate through the engine — always observe the batch
+        fully committed (stores, indexes, and catalog views consistent),
+        exactly like the reactive path, where store listeners index
+        before the bus publishes.  Tombstones in the batch (batched
+        deletes) skip discovery/view growth.
         """
         app = self.appliance
         telemetry = app.telemetry
@@ -196,10 +200,6 @@ class IngestPipeline:
                 with app.caches.bus.coalescing():
                     stored, finish = app.executor.ingest_batch(batch)
                     live = [d for d in stored if not d.is_tombstone]
-                    app.indexes.index_batch(live)
-                    for tombstone in stored:
-                        if tombstone.is_tombstone:
-                            app.indexes.unindex(tombstone.doc_id)
                     app._maintain_auto_views(live)
                     app.discovery.enqueue_many(live)
             finally:

@@ -3,17 +3,16 @@
 The document-at-a-time write path recomputes the same derived views of a
 document over and over: ``extract_text`` walks the content tree and
 classifies every leaf, ``ValueIndex.add`` walks and classifies again,
-``StructuralIndex.add`` walks a third time — and because every data node
-*and* the global catalog maintain their own indexes, each walk happens
-once per consumer.  For a single reactive put that is merely wasteful;
-for a bulk load it dominates the cost.
+``StructuralIndex.add`` walks a third time — one walk per consumer.  For
+a single reactive put that is merely wasteful; for a bulk load it
+dominates the cost.
 
 The staged ingest pipeline (``repro.ingest``) fixes this at the model
 layer: the *model-validate* stage projects each document exactly once —
 one recursive walk that simultaneously collects leaf paths, structural
 paths, the prose projection, tokenized postings, and typed value entries
-— and every downstream consumer (per-node index maintenance, the global
-catalog, auto-view upkeep) reuses the same :class:`DocumentProjection`.
+— and every downstream consumer (the cluster index's store hook,
+auto-view upkeep) reuses the same :class:`DocumentProjection`.
 
 Projecting is also where model validation happens: an unsupported leaf
 type raises :class:`TypeError` here, at the validate stage, instead of

@@ -78,11 +78,6 @@ def fingerprint(app: Impliance) -> dict:
         "text_probe": sorted(app.indexes.text.match_all("widget")),
         "value_probe": sorted(app.indexes.values.docs_with_value(amount_path, 3.0)),
         "structure_probe": sorted(app.indexes.structure.docs_with_path(amount_path)),
-        "node_text_probe": sorted(
-            doc_id
-            for node in app.cluster.data_nodes
-            for doc_id in node.indexes.text.match_all("widget")
-        ),
         "search": [hit.doc_id for hit in app.search("widget", top_k=20)],
         "annotations": sorted(
             (d.doc_id, d.to_json())

@@ -261,6 +261,39 @@ class TestRestore:
         with pytest.raises(LookupError):
             app.restore("data-0")
 
+    def test_restored_node_rejoins_the_cluster_index(self):
+        # The rebuilt store replays without re-indexing; the cluster index
+        # re-attaches to it, so later writes homed there are searchable
+        # and SQL-visible, and an outage-time delete stays deleted.
+        app = small_app(n_data_nodes=3)
+        app.ingest_many(
+            [doc(i, f"restore probe{i} document") for i in range(12)], "document"
+        )
+        victim_docs = list(app.cluster.node("data-1").store.doc_ids())
+        assert victim_docs, "victim owned nothing; test cannot exercise restore"
+        deleted = victim_docs[0]
+        probe = f"probe{deleted.split('-')[1]}"
+        assert [h.doc_id for h in app.search(probe)] == [deleted]
+
+        app.fail_node("data-1")
+        app.delete_document(deleted)
+        app.restore("data-1")
+        assert list(app.search(probe)) == []
+
+        later = []
+        n = 0
+        while len(later) < 2:
+            if app.cluster.home_of(f"note-{n}").node_id == "data-1":
+                later.append(f"note-{n}")
+            n += 1
+        for k, doc_id in enumerate(later):
+            app.ingest({"nid": k, "body": "phoenix rising"}, "relational",
+                       table="notes", doc_id=doc_id)
+        assert sorted(h.doc_id for h in app.search("phoenix")) == sorted(later)
+        assert app.sql("SELECT nid FROM notes ORDER BY nid").rows == [
+            {"nid": 0}, {"nid": 1}
+        ]
+
     def test_restored_node_resumes_shipping(self):
         # Three data nodes: enough capacity that the rebuilt GOLD
         # segments can re-place on restore.

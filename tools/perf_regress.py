@@ -48,6 +48,11 @@ CHECKS = [
         "benchmarks/bench_adaptive.py",
         ["chaos.sim_speedup"],
     ),
+    (
+        "BENCH_ingest.json",
+        "benchmarks/bench_ingest.py",
+        ["speedup"],
+    ),
 ]
 
 
